@@ -13,23 +13,21 @@ the business of :mod:`repro.replication.server`.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
-from ..sql.ast import (BeginStatement, BinaryOp, BetweenOp, ColumnRef,
-                       CommitStatement, CreateDatabaseStatement,
-                       CreateIndexStatement, CreateTableStatement,
-                       DeleteStatement, DropTableStatement, Expression,
-                       FunctionCall, InsertStatement, Literal, ParamRef,
-                       RollbackStatement, SelectItem, SelectStatement, Star,
-                       Statement, UpdateStatement, UseStatement)
-from ..sql.expressions import EvalContext, evaluate
+from ..sql.ast import (BeginStatement, CommitStatement,
+                       CreateDatabaseStatement, CreateIndexStatement,
+                       CreateTableStatement, DeleteStatement,
+                       DropTableStatement, InsertStatement,
+                       RollbackStatement, SelectStatement, Statement,
+                       UpdateStatement, UseStatement)
 from ..sql.parser import parse
 from ..sql.plancache import PlanCache
-from ..sql.render import render_expression, render_statement
+from ..sql.render import render_statement
 from .errors import (DatabaseError, SchemaError, TableNotFoundError,
                      TransactionError)
+from .plans import Plan, compile_plan
+from .results import ExecutionProfile, ExecutionResult, ResultSet
 from .schema import schema_from_ast
 from .table import Table
 from .transaction import Transaction, UndoRecord
@@ -37,47 +35,9 @@ from .transaction import Transaction, UndoRecord
 __all__ = ["ResultSet", "ExecutionProfile", "ExecutionResult",
            "StorageEngine"]
 
-
-@dataclass(slots=True)
-class ResultSet:
-    """Rows returned to the client."""
-
-    columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
-    rowcount: int = 0          # affected rows for DML
-    lastrowid: Optional[int] = None
-
-    def scalar(self) -> Any:
-        """First column of the first row (or None when empty)."""
-        if not self.rows:
-            return None
-        return self.rows[0][0]
-
-    def dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-@dataclass(slots=True)
-class ExecutionProfile:
-    """What the statement actually did — input to the CPU cost model."""
-
-    kind: str                 # select | insert | update | delete | ddl | txn | use
-    table: Optional[str] = None
-    rows_examined: int = 0
-    rows_returned: int = 0
-    rows_affected: int = 0
-    used_index: bool = False
-    joined_tables: int = 0
-
-
-@dataclass(slots=True)
-class ExecutionResult:
-    """Result + profile + the statements destined for the binlog."""
-
-    result: ResultSet
-    profile: ExecutionProfile
-    #: (text, database) pairs committed by this call (autocommit or COMMIT).
-    committed: list[tuple[str, str]] = field(default_factory=list)
+#: Compiled plans kept per engine; a few dozen statement shapes cover
+#: the Cloudstone mix.
+PLAN_CAPACITY = 256
 
 
 class StorageEngine:
@@ -102,6 +62,10 @@ class StorageEngine:
         #: "statement" logs SQL text (the paper's mode — required by
         #: its heartbeat methodology); "row" logs row images.
         self.binlog_format = "statement"
+        #: Compiled plans: statement identity -> (plan, default
+        #: database), at most PLAN_CAPACITY (oldest evicted first).
+        #: Every DDL and restore() empties it.
+        self._plans: dict[_Identity, tuple] = {}
 
     # ------------------------------------------------------------- naming
     def qualify(self, name: str) -> str:
@@ -144,14 +108,11 @@ class StorageEngine:
         self.statements_executed += 1
         params = params or ()
         if isinstance(statement, SelectStatement):
-            result, profile = self._execute_select(statement, params)
+            result, profile = self._plan(statement).execute(params, None)
             return ExecutionResult(result, profile)
-        if isinstance(statement, InsertStatement):
-            return self._write(statement, params, self._execute_insert)
-        if isinstance(statement, UpdateStatement):
-            return self._write(statement, params, self._execute_update)
-        if isinstance(statement, DeleteStatement):
-            return self._write(statement, params, self._execute_delete)
+        if isinstance(statement, (InsertStatement, UpdateStatement,
+                                  DeleteStatement)):
+            return self._write(statement, params)
         if isinstance(statement, (CreateTableStatement,
                                   CreateIndexStatement,
                                   DropTableStatement,
@@ -215,15 +176,16 @@ class StorageEngine:
         else:  # pragma: no cover - defensive
             raise DatabaseError(f"unknown undo kind {record.kind!r}")
 
-    def _write(self, statement: Statement, params: Sequence[Any],
-               runner: Callable) -> ExecutionResult:
+    def _write(self, statement: Statement,
+               params: Sequence[Any]) -> ExecutionResult:
         """Run a DML statement inside the open (or an implicit) txn."""
+        plan = self._plan(statement)
         implicit = self.transaction is None
         if implicit:
             self.transaction = Transaction()
         undo_start = len(self.transaction.undo)
         try:
-            result, profile = runner(statement, params)
+            result, profile = plan.execute(params, self.transaction)
         except DatabaseError:
             if implicit:
                 # Roll the implicit transaction back entirely.
@@ -309,417 +271,66 @@ class StorageEngine:
             else:
                 del self.tables[qualified]
             profile.table = qualified
+        self._plans.clear()   # plans bake in tables and index choices
         text = render_statement(statement)
         committed = [(text, self.default_database)]
         if self.commit_listener is not None:
             self.commit_listener(committed)
         return ExecutionResult(ResultSet(), profile, committed=committed)
 
-    # ----------------------------------------------------------------- DML
-    def _execute_insert(self, statement: InsertStatement,
-                        params: Sequence[Any]
-                        ) -> tuple[ResultSet, ExecutionProfile]:
-        table = self.table(statement.table)
-        columns = statement.columns or tuple(table.schema.column_names)
-        ctx = EvalContext(params=params, functions=self.functions)
-        lastrowid = None
-        for row_exprs in statement.rows:
-            if len(row_exprs) != len(columns):
-                raise SchemaError(
-                    f"INSERT has {len(row_exprs)} values for "
-                    f"{len(columns)} columns")
-            values = {col: evaluate(expr, ctx)
-                      for col, expr in zip(columns, row_exprs)}
-            pk = table.insert(values)
-            self.transaction.record(UndoRecord("insert", table.name, pk))
-            if isinstance(pk, int):
-                lastrowid = pk
-        profile = ExecutionProfile("insert", table=table.name,
-                                   rows_affected=len(statement.rows))
-        result = ResultSet(rowcount=len(statement.rows), lastrowid=lastrowid)
-        return result, profile
+    # --------------------------------------------------------------- plans
+    def _plan(self, statement: Statement) -> Plan:
+        """The compiled plan for ``statement``, compiling on a miss.
 
-    def _execute_update(self, statement: UpdateStatement,
-                        params: Sequence[Any]
-                        ) -> tuple[ResultSet, ExecutionProfile]:
-        table = self.table(statement.table)
-        pks, examined, used_index = self._plan_where(
-            table, statement.where, params)
-        affected = 0
-        for pk in list(pks):
-            row = table.rows[pk]
-            ctx = EvalContext(row=_namespace(table, None, row),
-                              params=params, functions=self.functions)
-            remaining = statement.where
-            if remaining is not None and not _truthy(evaluate(remaining, ctx)):
-                continue
-            changes = {column: evaluate(expr, ctx)
-                       for column, expr in statement.assignments}
-            old_row = table.update(pk, changes)
-            pk_column = table.primary_key_column
-            new_pk = pk
-            if pk_column in changes:
-                new_pk = table.schema.primary_key.sql_type.coerce(
-                    changes[pk_column], pk_column)
-            self.transaction.record(
-                UndoRecord("update", table.name, new_pk, old_row))
-            affected += 1
-        profile = ExecutionProfile("update", table=table.name,
-                                   rows_examined=examined,
-                                   rows_affected=affected,
-                                   used_index=used_index)
-        return ResultSet(rowcount=affected), profile
-
-    def _execute_delete(self, statement: DeleteStatement,
-                        params: Sequence[Any]
-                        ) -> tuple[ResultSet, ExecutionProfile]:
-        table = self.table(statement.table)
-        pks, examined, used_index = self._plan_where(
-            table, statement.where, params)
-        affected = 0
-        for pk in list(pks):
-            row = table.rows[pk]
-            ctx = EvalContext(row=_namespace(table, None, row),
-                              params=params, functions=self.functions)
-            if statement.where is not None \
-                    and not _truthy(evaluate(statement.where, ctx)):
-                continue
-            old_row = table.delete(pk)
-            self.transaction.record(
-                UndoRecord("delete", table.name, pk, old_row))
-            affected += 1
-        profile = ExecutionProfile("delete", table=table.name,
-                                   rows_examined=examined,
-                                   rows_affected=affected,
-                                   used_index=used_index)
-        return ResultSet(rowcount=affected), profile
-
-    # -------------------------------------------------------------- SELECT
-    def _execute_select(self, statement: SelectStatement,
-                        params: Sequence[Any]
-                        ) -> tuple[ResultSet, ExecutionProfile]:
-        profile = ExecutionProfile("select")
-        if statement.table is None:
-            # Table-less select: SELECT 1, SELECT USEC_NOW(), ...
-            ctx = EvalContext(params=params, functions=self.functions)
-            row = tuple(evaluate(item.expression, ctx)
-                        for item in statement.items)
-            columns = [_item_label(item, params) for item in statement.items]
-            profile.rows_returned = 1
-            return ResultSet(columns=columns, rows=[row], rowcount=1), profile
-
-        table = self.table(statement.table)
-        profile.table = table.name
-        base_alias = statement.alias or _short_name(table.name)
-        pks, examined, used_index = self._plan_where(
-            table, statement.where, params)
-        profile.used_index = used_index
-        namespaces: list[dict[str, Any]] = []
-        aliases: list[tuple[str, Table]] = [(base_alias, table)]
-        for pk in pks:
-            namespaces.append(_namespace(table, base_alias, table.rows[pk]))
-        profile.rows_examined = examined
-
-        # Joins: nested loop with index lookup where possible.
-        for join in statement.joins:
-            right = self.table(join.table)
-            right_alias = join.alias or _short_name(right.name)
-            aliases.append((right_alias, right))
-            namespaces, join_examined = self._join(
-                namespaces, right, right_alias, join.condition, params)
-            profile.rows_examined += join_examined
-            profile.joined_tables += 1
-
-        # WHERE residual filtering (join rows need the full namespace).
-        if statement.where is not None:
-            filtered = []
-            for namespace in namespaces:
-                ctx = EvalContext(row=namespace, params=params,
-                                  functions=self.functions)
-                if _truthy(evaluate(statement.where, ctx)):
-                    filtered.append(namespace)
-            namespaces = filtered
-
-        # Grouped / aggregate path.
-        has_aggregate = any(_contains_aggregate(item.expression)
-                            for item in statement.items) \
-            or (statement.having is not None
-                and _contains_aggregate(statement.having)) \
-            or any(_contains_aggregate(o.expression)
-                   for o in statement.order_by)
-        if statement.group_by or has_aggregate:
-            rows, columns = self._execute_grouped(statement, namespaces,
-                                                  params)
-            offset = statement.offset or 0
-            if offset:
-                rows = rows[offset:]
-            if statement.limit is not None:
-                rows = rows[:statement.limit]
-            profile.rows_returned = len(rows)
-            return ResultSet(columns=columns, rows=rows,
-                             rowcount=len(rows)), profile
-
-        # ORDER BY before projection (order keys may not be projected).
-        if statement.order_by:
-            namespaces = self._order(namespaces, statement.order_by, params)
-
-        columns, rows = self._project(statement.items, namespaces, aliases,
-                                      params)
-        if statement.distinct:
-            seen = set()
-            unique_rows = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-            rows = unique_rows
-        offset = statement.offset or 0
-        if offset:
-            rows = rows[offset:]
-        if statement.limit is not None:
-            rows = rows[:statement.limit]
-        profile.rows_returned = len(rows)
-        return ResultSet(columns=columns, rows=rows,
-                         rowcount=len(rows)), profile
-
-    def _join(self, namespaces: list[dict], right: Table, right_alias: str,
-              condition: Expression, params: Sequence[Any]
-              ) -> tuple[list[dict], int]:
-        examined = 0
-        # Try to use an equality condition with the right table's pk or
-        # an index:  left.col = right.col
-        probe = _join_probe(condition, right, right_alias)
-        joined: list[dict] = []
-        for namespace in namespaces:
-            if probe is not None:
-                left_expr, right_column = probe
-                ctx = EvalContext(row=namespace, params=params,
-                                  functions=self.functions)
-                value = evaluate(left_expr, ctx)
-                candidate_pks = _lookup_by_column(right, right_column, value)
-            else:
-                candidate_pks = list(right.rows)
-            for pk in candidate_pks:
-                examined += 1
-                combined = dict(namespace)
-                combined.update(_namespace(right, right_alias,
-                                           right.rows[pk]))
-                ctx = EvalContext(row=combined, params=params,
-                                  functions=self.functions)
-                if _truthy(evaluate(condition, ctx)):
-                    joined.append(combined)
-        return joined, examined
-
-    def _execute_grouped(self, statement: SelectStatement,
-                         namespaces: list[dict], params: Sequence[Any]
-                         ) -> tuple[list[tuple], list[str]]:
-        """GROUP BY / aggregate execution.
-
-        Follows MySQL's permissive (pre-ONLY_FULL_GROUP_BY) semantics:
-        a non-aggregate expression in the select list evaluates against
-        an arbitrary (the first) row of each group.
+        Keyed by the statement object's identity; the key holds a
+        strong reference, so it cannot stand for a later object.  DDL
+        and :meth:`restore` drop every plan; a plan is otherwise reused
+        while the default database is the one it was compiled under and
+        the tables it references are still the engine's tables.
         """
-        if statement.group_by:
-            groups: dict[tuple, list[dict]] = {}
-            for namespace in namespaces:
-                ctx = EvalContext(row=namespace, params=params,
-                                  functions=self.functions)
-                key = tuple(_freeze(evaluate(g, ctx))
-                            for g in statement.group_by)
-                groups.setdefault(key, []).append(namespace)
-            group_rows = list(groups.values())
-        else:
-            # Implicit single group — even over an empty input
-            # (COUNT(*) of an empty table is 0, not no-rows).
-            group_rows = [namespaces]
-
-        columns = [_item_label(item, params) for item in statement.items]
-        produced: list[tuple[tuple, tuple]] = []  # (order_keys, row)
-        for members in group_rows:
-            representative = members[0] if members else {}
-
-            def group_eval(expr):
-                substituted = self._substitute_aggregates(expr, members,
-                                                          params)
-                ctx = EvalContext(row=representative, params=params,
-                                  functions=self.functions)
-                return evaluate(substituted, ctx)
-
-            if statement.having is not None \
-                    and not _truthy(group_eval(statement.having)):
-                continue
-            row = tuple(group_eval(item.expression)
-                        for item in statement.items)
-            order_keys = tuple(
-                (_sort_key(group_eval(o.expression)), o.descending)
-                for o in statement.order_by)
-            produced.append((order_keys, row))
-
-        for index in reversed(range(len(statement.order_by))):
-            descending = statement.order_by[index].descending
-            produced.sort(key=lambda pair: pair[0][index][0],
-                          reverse=descending)
-        rows = [row for _keys, row in produced]
-        if statement.distinct:
-            seen: set = set()
-            rows = [r for r in rows if not (r in seen or seen.add(r))]
-        return rows, columns
-
-    def _substitute_aggregates(self, expr: Expression,
-                               members: list[dict],
-                               params: Sequence[Any]) -> Expression:
-        """Replace aggregate calls with their computed literals."""
-        if isinstance(expr, FunctionCall):
-            if expr.is_aggregate:
-                return Literal(self._compute_aggregate(expr, members,
-                                                       params))
-            args = tuple(self._substitute_aggregates(a, members, params)
-                         for a in expr.args)
-            return FunctionCall(expr.name, args, expr.distinct)
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self._substitute_aggregates(expr.left, members, params),
-                self._substitute_aggregates(expr.right, members, params))
-        from ..sql.ast import UnaryOp
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self._substitute_aggregates(
-                expr.operand, members, params))
-        return expr
-
-    def _compute_aggregate(self, call: FunctionCall, namespaces: list[dict],
-                           params: Sequence[Any]) -> Any:
-        if call.name == "COUNT" and (not call.args
-                                     or isinstance(call.args[0], Star)):
-            return len(namespaces)
-        arg = call.args[0]
-        samples = []
-        for namespace in namespaces:
-            ctx = EvalContext(row=namespace, params=params,
-                              functions=self.functions)
-            value = evaluate(arg, ctx)
-            if value is not None:
-                samples.append(value)
-        if call.distinct:
-            samples = list(dict.fromkeys(samples))
-        if call.name == "COUNT":
-            return len(samples)
-        if not samples:
-            return None
-        if call.name == "SUM":
-            return sum(samples)
-        if call.name == "AVG":
-            return sum(samples) / len(samples)
-        if call.name == "MIN":
-            return min(samples)
-        if call.name == "MAX":
-            return max(samples)
-        raise DatabaseError(f"unknown aggregate {call.name!r}")
-
-    def _order(self, namespaces: list[dict],
-               order_by, params: Sequence[Any]) -> list[dict]:
-        # Stable sorts applied in reverse clause order give multi-key
-        # ordering with per-key ASC/DESC.
-        ordered = namespaces
-        for item in reversed(order_by):
-            ordered = sorted(
-                ordered,
-                key=lambda ns, e=item.expression: _sort_key(
-                    evaluate(e, EvalContext(row=ns, params=params,
-                                            functions=self.functions))),
-                reverse=item.descending)
-        return ordered
-
-    def _project(self, items, namespaces, aliases, params
-                 ) -> tuple[list[str], list[tuple]]:
-        columns: list[str] = []
-        extractors: list[Callable[[dict], Any]] = []
-        for item in items:
-            expr = item.expression
-            if isinstance(expr, Star):
-                for alias, table in aliases:
-                    if expr.table is not None and expr.table != alias:
-                        continue
-                    for column in table.schema.column_names:
-                        columns.append(column)
-                        extractors.append(
-                            lambda ns, k=f"{alias}.{column}": ns[k])
-                continue
-            columns.append(_item_label(item, params))
-            extractors.append(
-                lambda ns, e=expr: evaluate(
-                    e, EvalContext(row=ns, params=params,
-                                   functions=self.functions)))
-        rows = [tuple(fn(ns) for fn in extractors) for ns in namespaces]
-        return columns, rows
-
-    # ------------------------------------------------------------ planning
-    def _plan_where(self, table: Table, where: Optional[Expression],
-                    params: Sequence[Any]
-                    ) -> tuple[Iterable[Any], int, bool]:
-        """Choose an access path; returns (pks, rows_examined, used_index).
-
-        The returned pks are *candidates*: the caller still applies the
-        full WHERE as a residual filter.
-        """
-        if where is None:
-            return list(table.rows), len(table), False
-        ctx = EvalContext(params=params, functions=self.functions)
-        for conjunct in _conjuncts(where):
-            probe = _equality_probe(conjunct)
-            if probe is None:
-                continue
-            column, value_expr = probe
-            if not table.schema.has_column(column):
-                continue
-            value = evaluate(value_expr, ctx)
-            if column == table.primary_key_column:
-                pk_value = table.schema.primary_key.sql_type.coerce(
-                    value, column)
-                found = pk_value in table.rows
-                return ([pk_value] if found else []), 1, True
-            index = table.index_on(column)
-            if index is not None and len(index.columns) == 1:
-                # lookup() returns a frozenset; sort so unordered
-                # SELECTs return rows in pk order, not hash order.
-                pks = sorted(index.lookup((value,)))
-                return pks, len(pks), True
-        # Range probe on a single-column index.
-        for conjunct in _conjuncts(where):
-            probe = _range_probe(conjunct)
-            if probe is None:
-                continue
-            column, low_expr, high_expr, incl_low, incl_high = probe
-            index = table.index_on(column)
-            if index is None or len(index.columns) != 1:
-                continue
-            low = (evaluate(low_expr, ctx),) if low_expr is not None else None
-            high = (evaluate(high_expr, ctx),) \
-                if high_expr is not None else None
-            pks = list(index.range_scan(low, high, incl_low, incl_high))
-            return pks, len(pks), True
-        return list(table.rows), len(table), False
+        plans = self._plans
+        key = _Identity(statement)
+        entry = plans.get(key)
+        if entry is not None:
+            plan, database = entry
+            if database == self.default_database:
+                tables = self.tables
+                for name, table in plan.tables:
+                    if tables.get(name) is not table:
+                        break
+                else:
+                    return plan
+        plan = compile_plan(statement, self.table, self.functions)
+        if entry is None and len(plans) >= PLAN_CAPACITY:
+            del plans[next(iter(plans))]    # the oldest compiled plan
+        plans[key] = (plan, self.default_database)
+        return plan
 
     # ------------------------------------------------------------ snapshot
     def snapshot(self) -> dict:
-        """A deep copy of all data — the slave initial-sync payload.
+        """A copy of all data — the slave initial-sync payload.
 
-        ``databases`` is a *sorted list*, not a set: the payload must
-        serialize identically across runs (and across hosts with
-        different hash seeds) for replay comparisons to hold.
+        Stored rows are never mutated in place (updates build a fresh
+        row dict), so the copy shares row dicts and copies only the
+        containers.  ``databases`` is a *sorted list*, not a set: the
+        payload must serialize identically across runs (and across
+        hosts with different hash seeds) for replay comparisons to hold.
         """
         return {
             "databases": sorted(self.databases),
             "default_database": self.default_database,
-            "tables": copy.deepcopy(self.tables),
+            "tables": {name: table.copy()
+                       for name, table in self.tables.items()},
         }
 
     def restore(self, snapshot: dict) -> None:
         """Load a snapshot previously produced by :meth:`snapshot`."""
         self.databases = set(snapshot["databases"])
         self.default_database = snapshot["default_database"]
-        self.tables = copy.deepcopy(snapshot["tables"])
+        self.tables = {name: table.copy()
+                       for name, table in snapshot["tables"].items()}
         self.transaction = None
+        self._plans.clear()
 
     def checksum(self) -> tuple:
         """Canonical snapshot of all table contents, for convergence
@@ -729,151 +340,22 @@ class StorageEngine:
             for name in sorted(self.tables))
 
 
-# ------------------------------------------------------------------ helpers
-def _short_name(qualified: str) -> str:
-    return qualified.rsplit(".", 1)[-1]
+class _Identity:
+    """A map key that hashes and compares by object identity.
 
-
-def _namespace(table: Table, alias: Optional[str],
-               row: dict[str, Any]) -> dict[str, Any]:
-    prefix = alias or _short_name(table.name)
-    return {f"{prefix}.{column}": value for column, value in row.items()}
-
-
-def _truthy(value: Any) -> bool:
-    return value is not None and bool(value)
-
-
-def _sort_key(value: Any) -> tuple:
-    """Total order over SQL values: NULLs first, then numbers, then text."""
-    if value is None:
-        return (0, 0.0, "")
-    if isinstance(value, (bool, int, float)):
-        return (1, float(value), "")
-    return (2, 0.0, str(value))
-
-
-def _item_label(item: SelectItem, params: Sequence[Any]) -> str:
-    if item.alias:
-        return item.alias
-    expr = item.expression
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    return render_expression(expr, params).lower()
-
-
-def _conjuncts(expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _is_constant(expr: Expression) -> bool:
-    if isinstance(expr, (Literal, ParamRef)):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _is_constant(expr.left) and _is_constant(expr.right)
-    return False
-
-
-def _equality_probe(expr: Expression
-                    ) -> Optional[tuple[str, Expression]]:
-    """Match ``col = const`` / ``const = col``; return (column, value)."""
-    if not isinstance(expr, BinaryOp) or expr.op != "=":
-        return None
-    left, right = expr.left, expr.right
-    if isinstance(left, ColumnRef) and _is_constant(right):
-        return left.name, right
-    if isinstance(right, ColumnRef) and _is_constant(left):
-        return right.name, left
-    return None
-
-
-def _range_probe(expr: Expression):
-    """Match BETWEEN / single comparison on a column vs constants.
-
-    Returns (column, low, high, include_low, include_high) or None.
+    Statement ASTs compare by value, and value equality is too coarse
+    for plans: ``Literal(1) == Literal(True) == Literal(1.0)``, yet
+    ``SELECT 1`` and ``SELECT TRUE`` return different values and
+    labels.
     """
-    if isinstance(expr, BetweenOp) and not expr.negated \
-            and isinstance(expr.operand, ColumnRef) \
-            and _is_constant(expr.low) and _is_constant(expr.high):
-        return expr.operand.name, expr.low, expr.high, True, True
-    if isinstance(expr, BinaryOp) and expr.op in ("<", ">", "<=", ">="):
-        left, right = expr.left, expr.right
-        if isinstance(left, ColumnRef) and _is_constant(right):
-            column, value, op = left.name, right, expr.op
-        elif isinstance(right, ColumnRef) and _is_constant(left):
-            column, value = right.name, left
-            op = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}[expr.op]
-        else:
-            return None
-        if op == "<":
-            return column, None, value, True, False
-        if op == "<=":
-            return column, None, value, True, True
-        if op == ">":
-            return column, value, None, False, True
-        return column, value, None, True, True
-    return None
 
+    __slots__ = ("obj",)
 
-def _join_probe(condition: Expression, right: Table, right_alias: str
-                ) -> Optional[tuple[Expression, str]]:
-    """Match ``left_expr = right_alias.col`` where col is pk/indexed.
+    def __init__(self, obj: Any):
+        self.obj = obj
 
-    Returns (left_expr, right_column) so the executor can evaluate the
-    left side per outer row and index-probe the right table.
-    """
-    for conjunct in _conjuncts(condition):
-        if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
-            continue
-        for own, other in ((conjunct.left, conjunct.right),
-                           (conjunct.right, conjunct.left)):
-            if isinstance(own, ColumnRef) and own.table == right_alias:
-                column = own.name
-                if not right.schema.has_column(column):
-                    continue
-                if _mentions_alias(other, right_alias):
-                    continue
-                if column == right.primary_key_column \
-                        or right.index_on(column) is not None:
-                    return other, column
-    return None
+    def __hash__(self) -> int:
+        return object.__hash__(self.obj)
 
-
-def _mentions_alias(expr: Expression, alias: str) -> bool:
-    if isinstance(expr, ColumnRef):
-        return expr.table == alias
-    if isinstance(expr, BinaryOp):
-        return _mentions_alias(expr.left, alias) \
-            or _mentions_alias(expr.right, alias)
-    if isinstance(expr, FunctionCall):
-        return any(_mentions_alias(a, alias) for a in expr.args)
-    return False
-
-
-def _lookup_by_column(table: Table, column: str, value: Any) -> list:
-    if column == table.primary_key_column:
-        return [value] if value in table.rows else []
-    index = table.index_on(column)
-    if index is not None and len(index.columns) == 1:
-        return list(index.lookup((value,)))
-    return list(table.rows)
-
-
-def _freeze(value: Any):
-    """Hashable form of a group key component."""
-    if isinstance(value, (list, dict, set)):
-        return str(value)
-    return value
-
-
-def _contains_aggregate(expr: Expression) -> bool:
-    if isinstance(expr, FunctionCall):
-        if expr.is_aggregate:
-            return True
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, BinaryOp):
-        return _contains_aggregate(expr.left) \
-            or _contains_aggregate(expr.right)
-    return False
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Identity) and self.obj is other.obj

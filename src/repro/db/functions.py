@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Mapping, Optional
 
+from ..sql.expressions import sql_mod
+
 __all__ = ["standard_functions"]
 
 
@@ -88,7 +90,7 @@ def standard_functions(wall_clock: Callable[[], float],
         "ROUND": nullsafe(lambda v, digits=0: round(v, int(digits))),
         "FLOOR": nullsafe(lambda v: math.floor(v)),
         "CEILING": nullsafe(lambda v: math.ceil(v)),
-        "MOD": nullsafe(lambda a, b: None if b == 0 else a % b),
+        "MOD": sql_mod,
         "CONCAT": sql_concat,
         "SUBSTRING": sql_substring,
         "COALESCE": sql_coalesce,

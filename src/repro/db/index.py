@@ -33,6 +33,15 @@ class Index:
     def key_of(self, row: dict[str, Any]) -> tuple:
         return tuple(row[c] for c in self.columns)
 
+    def copy(self) -> "Index":
+        """An independent copy (buckets and key order are copied; the
+        primary keys in them are immutable values)."""
+        clone = Index(self.name, self.columns, self.unique)
+        clone._buckets = {key: set(bucket)
+                          for key, bucket in self._buckets.items()}
+        clone._sorted_keys = list(self._sorted_keys)
+        return clone
+
     # -- maintenance ---------------------------------------------------------
     def add(self, row: dict[str, Any], pk: Any) -> None:
         key = self.key_of(row)

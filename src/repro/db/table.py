@@ -44,6 +44,15 @@ class Table:
         self.indexes[name] = index
         return index
 
+    def copy(self) -> "Table":
+        """A copy sharing the (never mutated in place) row dicts."""
+        clone = Table(self.schema)
+        clone.rows = dict(self.rows)
+        clone.indexes = {name: index.copy()
+                         for name, index in self.indexes.items()}
+        clone._next_auto_increment = self._next_auto_increment
+        return clone
+
     def index_on(self, column: str) -> Optional[Index]:
         """Any index whose leading column is ``column``."""
         for index in self.indexes.values():

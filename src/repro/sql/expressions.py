@@ -1,20 +1,38 @@
-"""Expression evaluation.
+"""Expression compilation and evaluation.
 
-Expressions are evaluated against an :class:`EvalContext` that provides
-the current row's column values, the bound parameter list and the
-server's scalar-function registry (functions need server state — the
+An expression is compiled once against a :class:`Scope` — the ordered
+``(alias, columns)`` slots of the tables it may read — into a closure
+``f(env, params)``.  ``env`` is a tuple holding one row dict per slot,
+so every :class:`ColumnRef` is resolved to a ``(slot, column)`` pair at
+compile time and a row read is two subscripts.  Scalar functions come
+from the server's registry (functions need server state — the
 microsecond-``now`` UDF reads the instance's local clock).
+
+Errors keep their evaluation-time timing: an unknown or ambiguous
+column, an unknown function, ``*`` outside a select list or an
+aggregate outside a select list compiles to a closure that raises the
+same :class:`EvaluationError` when — and only if — it is evaluated.
+
+SQL three-valued logic (NULL propagation, AND/OR truth tables) lives
+here and only here.  :func:`evaluate` is the one-shot entry point over
+a flat ``{"alias.column": value}`` row mapping in an
+:class:`EvalContext`; it compiles and runs.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .ast import (BetweenOp, BinaryOp, ColumnRef, Expression, FunctionCall,
                   InList, IsNull, LikeOp, Literal, ParamRef, Star, UnaryOp)
 
-__all__ = ["EvalContext", "EvaluationError", "evaluate", "like_match"]
+__all__ = ["EvalContext", "EvaluationError", "Scope", "compile_expression",
+           "evaluate", "like_match", "sql_mod"]
+
+#: A compiled expression: ``fn(env, params) -> value``.
+Compiled = Callable[[Sequence[Mapping[str, Any]], Sequence[Any]], Any]
 
 
 class EvaluationError(ValueError):
@@ -22,7 +40,8 @@ class EvaluationError(ValueError):
 
 
 class EvalContext:
-    """Everything an expression needs to evaluate."""
+    """A flat row mapping, bound parameters and a function registry —
+    the input of one-shot :func:`evaluate`."""
 
     __slots__ = ("row", "params", "functions")
 
@@ -34,150 +53,279 @@ class EvalContext:
         self.params = params or ()
         self.functions = functions or {}
 
-    def column(self, ref: ColumnRef) -> Any:
-        key = ref.qualified
-        if key in self.row:
-            return self.row[key]
-        if ref.table is None:
-            # Try any qualified match (unambiguous unqualified access).
-            matches = [v for k, v in self.row.items()
-                       if k.endswith("." + ref.name)]
-            if len(matches) == 1:
-                return matches[0]
-            if len(matches) > 1:
-                raise EvaluationError(f"ambiguous column {ref.name!r}")
+
+class Scope:
+    """The ordered ``(alias, columns)`` slots an expression reads from.
+
+    A later slot with the same alias shadows an earlier one (a self
+    join without aliases sees the right-hand row under both names).
+    An alias of ``None`` holds bare column names, which an unqualified
+    reference matches before any aliased slot.
+    """
+
+    __slots__ = ("slots", "_by_alias")
+
+    def __init__(self, slots: Iterable[tuple[Optional[str],
+                                             Iterable[str]]] = ()):
+        self.slots = tuple((alias, frozenset(columns))
+                           for alias, columns in slots)
+        self._by_alias: dict[Optional[str], int] = {}
+        for index, (alias, _columns) in enumerate(self.slots):
+            self._by_alias[alias] = index
+
+    def slot_of(self, alias: Optional[str]) -> Optional[int]:
+        """The slot an alias resolves to (the last one carrying it)."""
+        return self._by_alias.get(alias)
+
+    def resolve(self, ref: ColumnRef) -> tuple[int, str]:
+        """``(slot, column)`` for ``ref``; raises :class:`EvaluationError`
+        for an unknown or ambiguous column."""
+        name = ref.name
+        if ref.table is not None:
+            slot = self._by_alias.get(ref.table)
+            if slot is not None and name in self.slots[slot][1]:
+                return slot, name
+            raise EvaluationError(f"unknown column {ref.qualified!r}")
+        bare = self._by_alias.get(None)
+        if bare is not None and name in self.slots[bare][1]:
+            return bare, name
+        matches = [slot for alias, slot in self._by_alias.items()
+                   if alias is not None and name in self.slots[slot][1]]
+        if len(matches) == 1:
+            return matches[0], name
+        if matches:
+            raise EvaluationError(f"ambiguous column {name!r}")
         raise EvaluationError(f"unknown column {ref.qualified!r}")
 
-    def param(self, index: int) -> Any:
-        try:
-            return self.params[index]
-        except IndexError:
-            raise EvaluationError(
-                f"statement references parameter {index} but only "
-                f"{len(self.params)} were bound") from None
 
-    def call(self, name: str, args: list[Any]) -> Any:
-        fn = self.functions.get(name)
-        if fn is None:
-            raise EvaluationError(f"unknown function {name!r}")
-        return fn(*args)
+def _raiser(message: str) -> Compiled:
+    def fail(env, params):
+        raise EvaluationError(message)
+    return fail
+
+
+def compile_expression(expr: Expression, scope: Scope,
+                       functions: Mapping[str, Callable],
+                       aggregates: Optional[list[FunctionCall]] = None
+                       ) -> Compiled:
+    """Compile ``expr`` against ``scope`` into ``fn(env, params)``.
+
+    With an ``aggregates`` list, each aggregate call is appended to it
+    and compiles to a read of ``env[-1][k]`` — the caller computes the
+    aggregate values per group and passes them as the last slot.
+    Without one, an aggregate raises when evaluated.
+    """
+    def node_closure(node: Expression) -> Compiled:
+        if isinstance(node, Literal):
+            value = node.value
+            return lambda env, params: value
+        if isinstance(node, ColumnRef):
+            try:
+                slot, name = scope.resolve(node)
+            except EvaluationError as exc:
+                return _raiser(str(exc))
+            return lambda env, params: env[slot][name]
+        if isinstance(node, ParamRef):
+            return _param(node.index)
+        if isinstance(node, BinaryOp):
+            return _binary_op(node.op, node_closure(node.left),
+                           node_closure(node.right))
+        if isinstance(node, UnaryOp):
+            return _unary_op(node.op, node_closure(node.operand))
+        if isinstance(node, FunctionCall):
+            if node.is_aggregate:
+                if aggregates is None:
+                    return _raiser(
+                        f"aggregate {node.name} outside a select list")
+                position = len(aggregates)
+                aggregates.append(node)
+                return lambda env, params: env[-1][position]
+            return _call(node.name, functions,
+                         [node_closure(a) for a in node.args])
+        if isinstance(node, InList):
+            return _in_list(node_closure(node.operand),
+                            [node_closure(o) for o in node.options],
+                            node.negated)
+        if isinstance(node, BetweenOp):
+            return _between(node_closure(node.operand),
+                            node_closure(node.low),
+                            node_closure(node.high), node.negated)
+        if isinstance(node, LikeOp):
+            return _like(node_closure(node.operand),
+                         node_closure(node.pattern), node.negated)
+        if isinstance(node, IsNull):
+            return _is_null(node_closure(node.operand), node.negated)
+        if isinstance(node, Star):
+            return _raiser("'*' is only valid in a select list")
+        return _raiser(f"cannot evaluate {type(node).__name__}")
+
+    return node_closure(expr)
 
 
 def evaluate(expr: Expression, ctx: EvalContext) -> Any:
-    """Evaluate ``expr`` in ``ctx`` (SQL three-valued logic for NULLs)."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return ctx.column(expr)
-    if isinstance(expr, ParamRef):
-        return ctx.param(expr.index)
-    if isinstance(expr, BinaryOp):
-        return _binary(expr, ctx)
-    if isinstance(expr, UnaryOp):
-        return _unary(expr, ctx)
-    if isinstance(expr, FunctionCall):
-        if expr.is_aggregate:
+    """Evaluate ``expr`` once in ``ctx`` (SQL three-valued logic).
+
+    ``ctx.row`` keys are ``"alias.column"`` (or bare column names); the
+    row is split into one slot per alias and the expression compiled
+    against that scope.
+    """
+    grouped: dict[Optional[str], dict[str, Any]] = {}
+    for key, value in ctx.row.items():
+        alias, dot, column = key.rpartition(".")
+        grouped.setdefault(alias if dot else None, {})[column] = value
+    scope = Scope((alias, row) for alias, row in grouped.items())
+    compiled = compile_expression(expr, scope, ctx.functions)
+    return compiled(tuple(grouped.values()), ctx.params)
+
+
+# ------------------------------------------------------------ node closures
+def _param(index: int) -> Compiled:
+    def param(env, params):
+        try:
+            return params[index]
+        except IndexError:
             raise EvaluationError(
-                f"aggregate {expr.name} outside a select list")
-        args = [evaluate(a, ctx) for a in expr.args]
-        return ctx.call(expr.name, args)
-    if isinstance(expr, InList):
-        value = evaluate(expr.operand, ctx)
-        if value is None:
-            return None
-        found = any(evaluate(option, ctx) == value
-                    for option in expr.options)
-        return (not found) if expr.negated else found
-    if isinstance(expr, BetweenOp):
-        value = evaluate(expr.operand, ctx)
-        low = evaluate(expr.low, ctx)
-        high = evaluate(expr.high, ctx)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return (not result) if expr.negated else result
-    if isinstance(expr, LikeOp):
-        value = evaluate(expr.operand, ctx)
-        pattern = evaluate(expr.pattern, ctx)
-        if value is None or pattern is None:
-            return None
-        result = like_match(str(value), str(pattern))
-        return (not result) if expr.negated else result
-    if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, ctx)
-        is_null = value is None
-        return (not is_null) if expr.negated else is_null
-    if isinstance(expr, Star):
-        raise EvaluationError("'*' is only valid in a select list")
-    raise EvaluationError(f"cannot evaluate {type(expr).__name__}")
+                f"statement references parameter {index} but only "
+                f"{len(params)} were bound") from None
+    return param
 
 
-def _binary(expr: BinaryOp, ctx: EvalContext) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = evaluate(expr.left, ctx)
-        if left is False or (left is not None and not left):
-            return False
-        right = evaluate(expr.right, ctx)
-        if right is False or (right is not None and not right):
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        left = evaluate(expr.left, ctx)
-        if left not in (None, False, 0):
-            return True
-        right = evaluate(expr.right, ctx)
-        if right not in (None, False, 0):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if left is None or right is None:
+def sql_mod(left: Any, right: Any) -> Any:
+    """MySQL ``%`` / ``MOD``: NULL-propagating, NULL on a zero divisor,
+    and the result takes the sign of the dividend (``-1 % 2`` is -1)."""
+    if left is None or right is None or right == 0:
         return None
+    remainder = abs(left) % abs(right)
+    return -remainder if left < 0 else remainder
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        return None  # MySQL semantics: division by zero yields NULL
+    return left / right
+
+
+#: Binary operators other than AND/OR/= (which have their own closures).
+_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+    "<=": operator.le, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": sql_mod,
+}
+
+
+def _binary_op(op: str, left: Compiled, right: Compiled) -> Compiled:
+    if op == "AND":
+        def and_(env, params):
+            lhs = left(env, params)
+            if lhs is False or (lhs is not None and not lhs):
+                return False
+            rhs = right(env, params)
+            if rhs is False or (rhs is not None and not rhs):
+                return False
+            if lhs is None or rhs is None:
+                return None
+            return True
+        return and_
+    if op == "OR":
+        def or_(env, params):
+            lhs = left(env, params)
+            if lhs not in (None, False, 0):
+                return True
+            rhs = right(env, params)
+            if rhs not in (None, False, 0):
+                return True
+            if lhs is None or rhs is None:
+                return None
+            return False
+        return or_
     if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == ">":
-        return left > right
-    if op == "<=":
-        return left <= right
-    if op == ">=":
-        return left >= right
-    if op == "+":
-        return left + right
+        # The hot shape (every probe and join key): inlined.
+        def eq(env, params):
+            lhs = left(env, params)
+            rhs = right(env, params)
+            if lhs is None or rhs is None:
+                return None
+            return lhs == rhs
+        return eq
+    apply = _OPERATORS.get(op)
+    if apply is None:
+        return _raiser(f"unknown operator {op!r}")
+
+    def binary(env, params):
+        lhs = left(env, params)
+        rhs = right(env, params)
+        if lhs is None or rhs is None:
+            return None
+        return apply(lhs, rhs)
+    return binary
+
+
+def _unary_op(op: str, operand: Compiled) -> Compiled:
+    if op == "NOT":
+        def not_(env, params):
+            value = operand(env, params)
+            return None if value is None else not value
+        return not_
     if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None  # MySQL semantics: division by zero yields NULL
-        return left / right
-    if op == "%":
-        if right == 0:
-            return None
-        return left % right
-    raise EvaluationError(f"unknown operator {op!r}")
+        def negate(env, params):
+            value = operand(env, params)
+            return None if value is None else -value
+        return negate
+    return _raiser(f"unknown unary operator {op!r}")
 
 
-def _unary(expr: UnaryOp, ctx: EvalContext) -> Any:
-    value = evaluate(expr.operand, ctx)
-    if expr.op == "NOT":
+def _call(name: str, functions: Mapping[str, Callable],
+          args: list[Compiled]) -> Compiled:
+    def call(env, params):
+        values = [arg(env, params) for arg in args]
+        fn = functions.get(name)
+        if fn is None:
+            raise EvaluationError(f"unknown function {name!r}")
+        return fn(*values)
+    return call
+
+
+def _in_list(operand: Compiled, options: list[Compiled],
+             negated: bool) -> Compiled:
+    def in_list(env, params):
+        value = operand(env, params)
         if value is None:
             return None
-        return not value
-    if expr.op == "-":
-        if value is None:
+        found = any(option(env, params) == value for option in options)
+        return (not found) if negated else found
+    return in_list
+
+
+def _between(operand: Compiled, low: Compiled, high: Compiled,
+             negated: bool) -> Compiled:
+    def between(env, params):
+        value = operand(env, params)
+        lo = low(env, params)
+        hi = high(env, params)
+        if value is None or lo is None or hi is None:
             return None
-        return -value
-    raise EvaluationError(f"unknown unary operator {expr.op!r}")
+        result = lo <= value <= hi
+        return (not result) if negated else result
+    return between
+
+
+def _like(operand: Compiled, pattern: Compiled, negated: bool) -> Compiled:
+    def like(env, params):
+        value = operand(env, params)
+        text = pattern(env, params)
+        if value is None or text is None:
+            return None
+        result = like_match(str(value), str(text))
+        return (not result) if negated else result
+    return like
+
+
+def _is_null(operand: Compiled, negated: bool) -> Compiled:
+    def is_null(env, params):
+        result = operand(env, params) is None
+        return (not result) if negated else result
+    return is_null
 
 
 def like_match(value: str, pattern: str) -> bool:

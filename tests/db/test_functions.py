@@ -51,6 +51,10 @@ def test_numeric_functions(fns):
     assert fns["CEILING"](2.1) == 3
     assert fns["MOD"](7, 3) == 1
     assert fns["MOD"](7, 0) is None
+    # MySQL: the sign of the dividend, NULL in either argument -> NULL.
+    assert fns["MOD"](-1, 2) == -1
+    assert fns["MOD"](-5.5, 2) == -1.5
+    assert fns["MOD"](5, None) is None
 
 
 def test_coalesce_ifnull(fns):

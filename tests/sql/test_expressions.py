@@ -4,6 +4,7 @@ import pytest
 
 from repro.sql import EvalContext, EvaluationError, evaluate, like_match, parse
 from repro.sql.ast import ColumnRef
+from repro.sql.expressions import Scope, compile_expression
 
 
 def eval_sql(expr_sql, row=None, params=None, functions=None):
@@ -24,6 +25,18 @@ def test_arithmetic():
 def test_division_by_zero_is_null():
     assert eval_sql("1 / 0") is None
     assert eval_sql("1 % 0") is None
+
+
+def test_modulo_takes_the_sign_of_the_dividend():
+    # MySQL semantics, not Python's floor modulo.
+    assert eval_sql("-1 % 2") == -1
+    assert eval_sql("-7 % 3") == -1
+    assert eval_sql("7 % -3") == 1
+    assert eval_sql("-7 % -3") == -1
+    assert eval_sql("-5.5 % 2") == -1.5
+    assert eval_sql("5.5 % 2") == 1.5
+    assert eval_sql("NULL % 2") is None
+    assert eval_sql("2 % NULL") is None
 
 
 def test_comparisons():
@@ -121,3 +134,27 @@ def test_string_concat_plus_rejected_types():
     # '+' on strings follows Python semantics here; MySQL would coerce,
     # the workload never relies on it.
     assert eval_sql("'a' + 'b'") == "ab"
+
+
+def test_compiled_expression_reads_slots():
+    stmt = parse("SELECT u.karma + karma * 2 + ?")
+    scope = Scope([("u", ("id", "karma"))])
+    fn = compile_expression(stmt.items[0].expression, scope, {})
+    assert fn(({"id": 1, "karma": 4},), (1,)) == 13
+    assert fn(({"id": 2, "karma": 0},), (5,)) == 5
+
+
+def test_compiled_unknown_column_raises_only_when_called():
+    stmt = parse("SELECT nope")
+    fn = compile_expression(stmt.items[0].expression,
+                            Scope([("t", ("a",))]), {})
+    with pytest.raises(EvaluationError, match="unknown column"):
+        fn(({"a": 1},), ())
+
+
+def test_scope_later_alias_shadows_earlier():
+    scope = Scope([("t", ("a", "b")), ("t", ("a",))])
+    assert scope.resolve(ColumnRef("a", "t")) == (1, "a")
+    assert scope.resolve(ColumnRef("a")) == (1, "a")
+    with pytest.raises(EvaluationError):
+        scope.resolve(ColumnRef("b", "t"))
